@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: verify verify-parallel verify-kernels verify-lattice verify-spill serve-smoke fuzz fuzz-faults fuzz-chaos fuzz-incremental fuzz-kernels fuzz-lattice bench bench-engine bench-fdtree bench-incremental bench-parallel bench-kernels bench-serve bench-oocore
+.PHONY: verify verify-parallel verify-kernels verify-lattice verify-spill serve-smoke perf-smoke fuzz fuzz-faults fuzz-chaos fuzz-incremental fuzz-kernels fuzz-lattice bench bench-engine bench-fdtree bench-incremental bench-parallel bench-kernels bench-serve bench-oocore
 
 # Tier-1 suite — the gate every change must keep green (see ROADMAP.md).
 verify:
@@ -38,6 +38,24 @@ verify-spill:
 # rediscovery (docs/SERVER.md).
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_server_smoke.py tests/test_server.py
+
+# End-to-end benchmark smoke (perfbench/README.md): the benchmark's own
+# unit tests, then one short untraced run per workload.  Fails when a
+# run's last JSON line reports a failed operation — an error, or a DDL
+# that no longer matches perfbench/digests.json (a scoring change that
+# moves the chosen decomposition fails here).
+PERF_WORKLOADS = musicbrainz-wide planted-tall serve-stream
+
+perf-smoke:
+	$(PYTHON) -m pytest perfbench/tests -q
+	mkdir -p .perfbench-out
+	for workload in $(PERF_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 2 --trace 0 \
+			> .perfbench-out/smoke-$$workload.txt || exit 1; \
+		tail -n 1 .perfbench-out/smoke-$$workload.txt | $(PYTHON) -c \
+			'import json, sys; r = json.load(sys.stdin); print(sys.argv[1], "failed", r["failed"], "of", r["attempted"]); sys.exit(r["failed"] != 0)' \
+			$$workload || exit 1; \
+	done
 
 # Differential/metamorphic verification campaign (docs/TESTING.md).
 fuzz:

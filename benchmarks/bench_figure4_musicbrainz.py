@@ -9,9 +9,21 @@ the many-to-many relationships.
 
 Expected shape here: the same three observations on the scaled
 generator.
+
+The normalize step is timed twice on the same precomputed FDs: with the
+production duplication scoring (distinct rows, lineage memo) and with
+the historical per-row loop kept as the test oracle
+(``tests/scoring_oracle.py``).  Both must produce the same
+decomposition and byte-identical DDL; the JSON records both times and
+their ratio.
 """
 
 from __future__ import annotations
+
+import importlib
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +34,11 @@ from repro.discovery.hyfd import HyFD
 from repro.discovery.precomputed import PrecomputedFDs
 from repro.evaluation.metrics import evaluate_schema_recovery
 from repro.evaluation.snowflake import schema_tree
+from repro.io.ddl import schema_to_ddl
 from repro.structures import fdtree
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.scoring_oracle import OracleEstimator  # noqa: E402
 
 _REPORT: list[str] = []
 
@@ -56,6 +72,7 @@ def _figure4_report(request, datasets):
     discovery = _TIMINGS.get("hyfd_discovery", {})
     python_s = discovery.get("python-level")
     numpy_s = discovery.get("numpy-level")
+    normalize = _TIMINGS.get("normalize", {})
     engine_speedups = {}
     for backend in ("python", "numpy"):
         legacy_s = discovery.get(f"{backend}-legacy")
@@ -77,6 +94,14 @@ def _figure4_report(request, datasets):
                 python_s / numpy_s if python_s and numpy_s else None
             ),
             "hyfd_speedup_level_over_legacy": engine_speedups or None,
+            "normalize_speedup_distinct_rows_over_per_row": (
+                normalize["per_row_oracle"] / normalize["distinct_rows"]
+                if "distinct_rows" in normalize
+                else None
+            ),
+            "normalize_ddl_identical_to_per_row_oracle": (
+                True if "distinct_rows" in normalize else None
+            ),
             "covers_identical_across_configs": (
                 len(set(map(str, _COVERS.values()))) == 1
                 if len(_COVERS) > 1
@@ -112,7 +137,9 @@ def test_hyfd_discovery_per_backend(benchmark, datasets, kernel, fdtree_engine):
         )
 
 
-def test_normalize_musicbrainz_universal(benchmark, datasets, discovery):
+def test_normalize_musicbrainz_universal(
+    benchmark, datasets, discovery, monkeypatch
+):
     universal = datasets["musicbrainz"]
     fds = discovery.fds("musicbrainz")
     normalizer = Normalizer(
@@ -121,7 +148,24 @@ def test_normalize_musicbrainz_universal(benchmark, datasets, discovery):
     result = benchmark.pedantic(
         normalizer.run, args=(universal,), rounds=1, iterations=1
     )
-    _TIMINGS.setdefault("normalize", {})["auto"] = benchmark.stats.stats.min
+    _TIMINGS.setdefault("normalize", {})["distinct_rows"] = (
+        benchmark.stats.stats.min
+    )
+
+    # The same step with the historical per-row scoring loop.
+    pipeline = importlib.import_module("repro.core.normalize")
+    monkeypatch.setattr(pipeline, "DistinctEstimator", OracleEstimator)
+    started = time.perf_counter()
+    oracle = normalizer.run(universal)
+    _TIMINGS["normalize"]["per_row_oracle"] = time.perf_counter() - started
+    assert [
+        (step.parent, step.lhs, step.rhs, step.chosen_rank) for step in result.steps
+    ] == [
+        (step.parent, step.lhs, step.rhs, step.chosen_rank) for step in oracle.steps
+    ]
+    assert schema_to_ddl(result.schema, result.instances) == schema_to_ddl(
+        oracle.schema, oracle.instances
+    )
 
     report = evaluate_schema_recovery(result.schema, MUSICBRAINZ_GOLD)
     # the root relation (kept name) is the fact-table-like top relation

@@ -46,6 +46,7 @@ from repro.core.key_derivation import derive_keys
 from repro.core.result import DecompositionStep, NormalizationResult, PipelineStats
 from repro.core.scoring import (
     DistinctEstimator,
+    LineageMemo,
     rank_keys,
     rank_violating_fds,
     shared_rhs_attributes,
@@ -57,6 +58,7 @@ from repro.discovery.ucc import DuccUCC
 from repro.model.attributes import iter_bits
 from repro.model.fd import FD, FDSet
 from repro.model.instance import RelationInstance
+from repro.model.schema import Relation
 from repro.parallel import RelationRun, resolve_workers
 from repro.runtime.checkpointing import PipelineState, save_state
 from repro.runtime.degrade import (
@@ -88,6 +90,10 @@ class _WorkItem:
     #: and violations are pure functions of the FD set and relation
     #: metadata, so a fresh serial computation would be identical.
     prefetch: tuple | None = None
+    #: scoring values shared with every relation of the same input
+    memo: LineageMemo | None = None
+    #: columns holding a NULL; computed once, inherited by the halves
+    null_mask: int | None = None
 
 
 class Normalizer:
@@ -235,10 +241,10 @@ class Normalizer:
             # Steps 1 + 2 per input relation, with Table 3 bookkeeping.
             queue: list[_WorkItem] = []
             discovered: dict[str, FDSet] = {}
-            for instance in inputs:
+            for source in inputs:
                 # Work on a fresh Relation object so callers' schemas
                 # are never mutated.
-                instance = instance.rename(instance.name)
+                instance = source.rename(source.name)
                 started = time.perf_counter()
                 fds, fidelity = self._discover(instance, state, governor)
                 discovery_seconds = time.perf_counter() - started
@@ -247,7 +253,11 @@ class Normalizer:
                 avg_before = fds.average_rhs_size()
 
                 item = _WorkItem(
-                    instance, fds, exact=fidelity.exact, sound=fidelity.sound
+                    instance,
+                    fds,
+                    exact=fidelity.exact,
+                    sound=fidelity.sound,
+                    memo=LineageMemo(source),
                 )
                 cache_key = None
                 if self.closure_cache is not None:
@@ -287,10 +297,13 @@ class Normalizer:
                         key_seconds = time.perf_counter() - started
 
                         started = time.perf_counter()
+                        # The caller's instance may hold lazy decoded
+                        # columns, which answer without a scan.
+                        item.null_mask = self._null_mask(source)
                         find_violating_fds(
                             extended,
                             keys,
-                            null_mask=self._null_mask(instance),
+                            null_mask=item.null_mask,
                             primary_key=instance.relation.primary_key_mask,
                             foreign_keys=instance.relation.foreign_key_masks(),
                             target=self.target,
@@ -482,7 +495,7 @@ class Normalizer:
                     "num_attributes": instance.arity,
                     "items": list(entry.fds.items()),
                     "relation_mask": instance.full_mask(),
-                    "null_mask": self._null_mask(instance),
+                    "null_mask": self._item_null_mask(entry),
                     "primary_key": relation.primary_key_mask,
                     "foreign_keys": list(relation.foreign_key_masks()),
                     "target": self.target,
@@ -532,7 +545,7 @@ class Normalizer:
             violating = find_violating_fds(
                 item.fds,
                 keys,
-                null_mask=self._null_mask(instance),
+                null_mask=self._item_null_mask(item),
                 primary_key=relation.primary_key_mask,
                 foreign_keys=relation.foreign_key_masks(),
                 target=self.target,
@@ -542,7 +555,9 @@ class Normalizer:
             return None
 
         started = time.perf_counter()
-        estimator = DistinctEstimator(instance, exact=self.exact_distinct)
+        estimator = DistinctEstimator(
+            instance, exact=self.exact_distinct, memo=item.memo
+        )
         ranking = rank_violating_fds(
             instance, violating, estimator, self.score_features
         )
@@ -626,11 +641,19 @@ class Normalizer:
         )
         return [
             _WorkItem(
-                outcome.r1, outcome.r1_fds, exact=item.exact, sound=item.sound
-            ),
-            _WorkItem(
-                outcome.r2, outcome.r2_fds, exact=item.exact, sound=item.sound
-            ),
+                half,
+                half_fds,
+                exact=item.exact,
+                sound=item.sound,
+                memo=item.memo,
+                null_mask=_inherited_null_mask(
+                    relation, item.null_mask, half.relation
+                ),
+            )
+            for half, half_fds in (
+                (outcome.r1, outcome.r1_fds),
+                (outcome.r2, outcome.r2_fds),
+            )
         ]
 
     @staticmethod
@@ -700,11 +723,15 @@ class Normalizer:
                     f"{len(uccs)} salvaged key candidate(s)"
                 )
         with suspended():
-            null_mask = self._null_mask(item.instance)
+            null_mask = self._item_null_mask(item)
             candidates = [key for key in uccs if key and not key & null_mask]
             key_names = None
             if candidates:
-                ranking = rank_keys(item.instance, candidates)
+                ranking = rank_keys(
+                    item.instance,
+                    candidates,
+                    DistinctEstimator(item.instance, memo=item.memo),
+                )
                 choice = self.decider.choose_primary_key(
                     item.instance, ranking
                 )
@@ -759,13 +786,34 @@ class Normalizer:
         with suspended():
             save_state(state, self.checkpoint_path)
 
+    def _item_null_mask(self, item: _WorkItem) -> int:
+        if item.null_mask is None:
+            item.null_mask = self._null_mask(item.instance)
+        return item.null_mask
+
     @staticmethod
     def _null_mask(instance: RelationInstance) -> int:
         mask = 0
         for index in range(instance.arity):
-            if any(value is None for value in instance.columns_data[index]):
+            if instance.has_null_in(1 << index):
                 mask |= 1 << index
         return mask
+
+
+def _inherited_null_mask(
+    parent: Relation, null_mask: int | None, child: Relation
+) -> int | None:
+    """A decomposition half's NULL columns, from its parent's.
+
+    ``R1`` keeps every row and ``R2`` one row per distinct value
+    combination; since only NULL equals NULL, a column holds a NULL in
+    either half exactly when it does in the parent.
+    """
+    if null_mask is None:
+        return None
+    return child.mask_of(
+        name for name in parent.names_of(null_mask) if name in child.columns
+    )
 
 
 def _fresh_name(base: str, used_names: set[str]) -> str:

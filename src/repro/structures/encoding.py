@@ -437,6 +437,11 @@ class DecodedColumn(Sequence):
         """True iff any cell is NULL (answered from the decode table)."""
         return any(value is None for value in self._table)
 
+    @property
+    def value_types(self) -> set[type]:
+        """Types of the column's values (answered from the decode table)."""
+        return set(map(type, self._table))
+
 
 class ChunkedEncoder:
     """Streaming construction of an :class:`EncodedRelation`.
