@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.scoring import DistinctEstimator
 from repro.model.instance import RelationInstance
 from repro.model.schema import Relation
 
@@ -71,21 +72,23 @@ class TestStatistics:
         assert instance.has_null_in(0b010)
         assert not instance.has_null_in(0b101)
 
+    # The value score's longest concatenated value is computed by the
+    # scoring estimator over the instance.
     def test_max_value_length_single(self):
         instance = make([("abc", "x", 1), ("ab", "y", 2)])
-        assert instance.max_value_length(0b001) == 3
+        assert DistinctEstimator(instance).max_value_length(0b001) == 3
 
     def test_max_value_length_concatenates(self):
         instance = make([("abc", "xy", 1)])
-        assert instance.max_value_length(0b011) == 5
+        assert DistinctEstimator(instance).max_value_length(0b011) == 5
 
     def test_max_value_length_null_counts_as_empty(self):
         instance = make([(None, "xy", 1)])
-        assert instance.max_value_length(0b011) == 2
+        assert DistinctEstimator(instance).max_value_length(0b011) == 2
 
     def test_max_value_length_empty_cases(self):
-        assert make([]).max_value_length(0b1) == 0
-        assert make([(1, 2, 3)]).max_value_length(0) == 0
+        assert DistinctEstimator(make([])).max_value_length(0b1) == 0
+        assert DistinctEstimator(make([(1, 2, 3)])).max_value_length(0) == 0
 
     def test_distinct_count(self):
         instance = make([(1, 2, 3), (1, 2, 9), (1, 5, 3)])
