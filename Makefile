@@ -19,11 +19,10 @@ verify-kernels:
 	REPRO_KERNEL=numpy PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	REPRO_KERNEL=python PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_kernels_differential.py
 
-# Tier-1 pinned to the recursive FD-tree baseline, then the lattice
-# differential + metamorphic suites, which sweep the whole
-# engine × backend grid themselves (docs/ALGORITHMS.md).
+# The lattice differential + metamorphic suites: the FD-tree and the
+# level index against naive oracles under both kernel backends
+# (docs/ALGORITHMS.md).
 verify-lattice:
-	REPRO_FDTREE=legacy PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_fdtree_differential.py tests/test_lattice_metamorphic.py -m "not fuzz"
 
 # Tier-1 again with every encoded column forced onto the mmap spill
@@ -87,11 +86,9 @@ fuzz-kernels:
 	PYTHONPATH=src $(PYTHON) -m repro verify --seeds 25 --kernel numpy
 
 # Lattice-engine fuzz campaign: seeded op-sequence/cover equivalence
-# vs the naive oracle, plus the verification harness pinned to the
-# recursive baseline engine.
+# vs the naive oracle under both kernel backends.
 fuzz-lattice:
 	LATTICE_FUZZ_SEEDS=50 PYTHONPATH=src $(PYTHON) -m pytest -q -m fuzz tests/test_fdtree_differential.py tests/test_lattice_metamorphic.py
-	PYTHONPATH=src $(PYTHON) -m repro verify --seeds 25 --fdtree legacy
 
 # Full paper-reproduction benchmark harness (writes benchmarks/results/).
 bench:
@@ -101,9 +98,8 @@ bench:
 bench-engine:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_partition_engine.py --benchmark-only -q
 
-# FD-tree lattice-engine micro-benchmarks: level vs recursive baseline
-# (enforces the ≥5x wide-lattice generalization gate, writes
-# BENCH_fdtree.json).
+# FD-tree lattice-engine micro-benchmarks per kernel backend (asserts
+# identical induction covers across backends, writes BENCH_fdtree.json).
 bench-fdtree:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_fdtree.py --benchmark-only -q
 

@@ -35,30 +35,17 @@ from repro.discovery.precomputed import PrecomputedFDs
 from repro.evaluation.metrics import evaluate_schema_recovery
 from repro.evaluation.snowflake import schema_tree
 from repro.io.ddl import schema_to_ddl
-from repro.structures import fdtree
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tests.scoring_oracle import OracleEstimator  # noqa: E402
 
 _REPORT: list[str] = []
 
-#: operation → config ("backend-engine" or "auto") → seconds
+#: operation → config (kernel backend, or the normalize variant) → seconds
 _TIMINGS: dict[str, dict[str, float]] = {}
 
-#: per-config sorted FD covers, asserted identical across configs
+#: per-backend sorted FD covers, asserted identical across backends
 _COVERS: dict[str, list] = {}
-
-#: FD-tree engine dimension for the discovery workload: MusicBrainz's
-#: universal relation is 32 attributes wide — the level-indexed
-#: lattice's home turf vs the recursive baseline.
-ENGINES = ["level", "legacy"]
-
-
-@pytest.fixture(params=ENGINES)
-def fdtree_engine(request):
-    fdtree.set_engine(request.param)
-    yield request.param
-    fdtree.set_engine(None)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -70,15 +57,9 @@ def _figure4_report(request, datasets):
         return
     universal = datasets["musicbrainz"]
     discovery = _TIMINGS.get("hyfd_discovery", {})
-    python_s = discovery.get("python-level")
-    numpy_s = discovery.get("numpy-level")
+    python_s = discovery.get("python")
+    numpy_s = discovery.get("numpy")
     normalize = _TIMINGS.get("normalize", {})
-    engine_speedups = {}
-    for backend in ("python", "numpy"):
-        legacy_s = discovery.get(f"{backend}-legacy")
-        level_s = discovery.get(f"{backend}-level")
-        if legacy_s and level_s:
-            engine_speedups[backend] = legacy_s / level_s
     emit_json(
         "figure4_musicbrainz",
         {
@@ -93,7 +74,6 @@ def _figure4_report(request, datasets):
             "hyfd_speedup_numpy_over_python": (
                 python_s / numpy_s if python_s and numpy_s else None
             ),
-            "hyfd_speedup_level_over_legacy": engine_speedups or None,
             "normalize_speedup_distinct_rows_over_per_row": (
                 normalize["per_row_oracle"] / normalize["distinct_rows"]
                 if "distinct_rows" in normalize
@@ -111,29 +91,27 @@ def _figure4_report(request, datasets):
     )
 
 
-def test_hyfd_discovery_per_backend(benchmark, datasets, kernel, fdtree_engine):
+def test_hyfd_discovery_per_backend(benchmark, datasets, kernel):
     """End-to-end FD discovery on the denormalized MusicBrainz table,
-    once per kernel backend × FD-tree engine — the Figure 4 pipeline's
-    dominant cost.
+    once per kernel backend — the Figure 4 pipeline's dominant cost.
 
     Beyond the timing, the discovered cover must be byte-identical
-    across every config: a faster-but-different cover is a failure.
+    across backends: a faster-but-different cover is a failure.
     """
     universal = datasets["musicbrainz"]
     universal.invalidate_caches()
-    config = f"{kernel}-{fdtree_engine}"
 
     cover = benchmark.pedantic(
         lambda: HyFD().discover(universal), rounds=1, iterations=1
     )
-    _TIMINGS.setdefault("hyfd_discovery", {})[config] = (
+    _TIMINGS.setdefault("hyfd_discovery", {})[kernel] = (
         benchmark.stats.stats.min
     )
-    _COVERS[config] = sorted((fd.lhs, fd.rhs) for fd in cover)
+    _COVERS[kernel] = sorted((fd.lhs, fd.rhs) for fd in cover)
     assert cover, "MusicBrainz universal relation must yield FDs"
     for other, other_cover in _COVERS.items():
-        assert other_cover == _COVERS[config], (
-            f"FD cover differs between configs {other} and {config}"
+        assert other_cover == _COVERS[kernel], (
+            f"FD cover differs between backends {other} and {kernel}"
         )
 
 

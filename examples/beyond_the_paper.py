@@ -22,11 +22,11 @@ Run with::
 
 from repro import normalize
 from repro.extensions import (
-    ConstraintMonitor,
     ExtendedScoringDecider,
     FourNFNormalizer,
     discover_mvds,
 )
+from repro.incremental import ConstraintMonitor
 from repro.io.datasets import address_example
 from repro.io.graphviz import schema_to_dot
 from repro.model.instance import RelationInstance

@@ -34,7 +34,7 @@ from __future__ import annotations
 from repro.model.attributes import iter_bits
 from repro.model.fd import FDSet
 from repro.runtime.governor import checkpoint
-from repro.structures.settrie import SetTrie
+from repro.structures.lattice_index import LevelIndex
 
 __all__ = [
     "calculate_closure",
@@ -109,16 +109,21 @@ def calculate_closure(
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def _build_lhs_tries(pairs: list[list[int]], num_attributes: int) -> list[SetTrie]:
-    """One trie per RHS attribute holding the LHSs that deliver it."""
-    tries = [SetTrie() for _ in range(num_attributes)]
+def _build_lhs_tries(
+    pairs: list[list[int]], num_attributes: int
+) -> list[LevelIndex]:
+    """One LHS store per RHS attribute holding the LHSs that deliver it
+    (the paper's per-RHS prefix tree)."""
+    tries = [LevelIndex() for _ in range(num_attributes)]
     for lhs, rhs in pairs:
         for attr in iter_bits(rhs):
             tries[attr].insert(lhs)
     return tries
 
 
-def _extend_improved(fd: list[int], tries: list[SetTrie], all_attrs: int) -> None:
+def _extend_improved(
+    fd: list[int], tries: list[LevelIndex], all_attrs: int
+) -> None:
     """Algorithm 2's per-FD extension: inner change loop over the tries."""
     checkpoint("closure-improved")
     something_changed = True
@@ -130,7 +135,9 @@ def _extend_improved(fd: list[int], tries: list[SetTrie], all_attrs: int) -> Non
                 something_changed = True
 
 
-def _extend_optimized(fd: list[int], tries: list[SetTrie], all_attrs: int) -> None:
+def _extend_optimized(
+    fd: list[int], tries: list[LevelIndex], all_attrs: int
+) -> None:
     """Algorithm 3's per-FD extension: one LHS-subset pass (Lemma 1)."""
     checkpoint("closure-optimized")
     for attr in iter_bits(all_attrs & ~(fd[0] | fd[1])):

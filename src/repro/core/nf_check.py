@@ -97,13 +97,11 @@ def check_normal_form(
     if target == "4nf" and instance.arity >= 3:
         from repro.discovery.ucc import DuccUCC
         from repro.extensions.mvd import discover_mvds
-        from repro.structures.settrie import SetTrie
+        from repro.structures.lattice_index import LevelIndex
 
-        key_trie = SetTrie()
-        for key in DuccUCC(null_equals_null=null_equals_null).discover(
-            instance
-        ):
-            key_trie.insert(key)
+        key_trie = LevelIndex(
+            DuccUCC(null_equals_null=null_equals_null).discover(instance)
+        )
         for mvd in discover_mvds(
             instance,
             max_lhs_size=min(max_mvd_lhs_size, instance.arity - 2),

@@ -1,9 +1,10 @@
 """Violating-FD identification (paper §6, Algorithm 4).
 
 A relation is in BCNF iff every FD's LHS is a key or superkey.  With
-the derived keys in a set-trie, the check per FD is one subset query:
-if no key is a subset of the LHS, the FD violates BCNF.  On top of the
-core check, Algorithm 4 adds three constraint-preservation rules:
+the derived keys in a level index (the paper's set-trie), the check per
+FD is one subset query: if no key is a subset of the LHS, the FD
+violates BCNF.  On top of the core check, Algorithm 4 adds three
+constraint-preservation rules:
 
 * FDs whose LHS contains a NULL are skipped — the LHS would become a
   primary key after decomposition, and SQL forbids NULLs in keys,
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.model.fd import FD, FDSet
-from repro.structures.settrie import SetTrie
+from repro.structures.lattice_index import LevelIndex
 
 __all__ = ["find_violating_fds"]
 
@@ -48,9 +49,7 @@ def find_violating_fds(
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}; choose from {_TARGETS}")
 
-    key_trie = SetTrie()
-    for key in keys:
-        key_trie.insert(key)
+    key_trie = LevelIndex(keys)
 
     violating: list[FD] = []
     for lhs, rhs in extended_fds.items():

@@ -10,7 +10,7 @@ over directly:
   :mod:`repro.discovery.hyfd.sampler` supplies exactly these agree
   sets,
 * **induction + validation** — a positive cover of minimal-UCC
-  candidates (an antichain kept in a :class:`SetTrie`) is specialized
+  candidates (an antichain kept in a :class:`LevelIndex`) is specialized
   away from refuted candidates and validated level-wise with stripped
   partitions; each failed validation contributes its violating pair's
   agree set back as evidence.
@@ -26,8 +26,8 @@ from repro.model.attributes import full_mask, iter_bits
 from repro.model.instance import RelationInstance
 from repro.runtime.errors import BudgetExceeded
 from repro.runtime.governor import checkpoint, suspended
+from repro.structures.lattice_index import LevelIndex
 from repro.structures.partitions import PLICache
-from repro.structures.settrie import SetTrie
 
 __all__ = ["HyUCC"]
 
@@ -66,7 +66,7 @@ class HyUCC:
         if cache.get(0).is_unique:  # ≤ 1 row
             return [0]
 
-        candidates = SetTrie()
+        candidates = LevelIndex()
         try:
             sampler = Sampler(instance, cache)
             sampler.initial_rounds()
@@ -90,7 +90,9 @@ class HyUCC:
     # Induction: refute candidates contained in an agree set
     # ------------------------------------------------------------------
     @staticmethod
-    def _apply_agree_set(candidates: SetTrie, agree: int, arity: int) -> None:
+    def _apply_agree_set(
+        candidates: LevelIndex, agree: int, arity: int
+    ) -> None:
         """Remove candidates ``X ⊆ agree`` and insert their minimal
         specializations ``X ∪ {b}`` with ``b ∉ agree``."""
         refuted = list(candidates.iter_subsets_of(agree))
@@ -108,7 +110,7 @@ class HyUCC:
     # ------------------------------------------------------------------
     def _validate(
         self,
-        candidates: SetTrie,
+        candidates: LevelIndex,
         cache: PLICache,
         sampler: Sampler,
         arity: int,

@@ -28,8 +28,8 @@ from repro.model.attributes import full_mask, iter_bits
 from repro.model.instance import RelationInstance
 from repro.runtime.errors import BudgetExceeded
 from repro.runtime.governor import checkpoint
+from repro.structures.lattice_index import LevelIndex
 from repro.structures.partitions import PLICache
-from repro.structures.settrie import SetTrie
 
 __all__ = ["DuccUCC", "NaiveUCC", "discover_uccs"]
 
@@ -93,7 +93,7 @@ class NaiveUCC:
         self.last_cache_stats = cache.stats
         if cache.get(0).is_unique:  # ≤ 1 row: the empty set is unique
             return [0]
-        minimal = SetTrie()
+        minimal = LevelIndex()
         try:
             level = [1 << attr for attr in range(arity)]
             while level:

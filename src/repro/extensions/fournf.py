@@ -32,7 +32,7 @@ from repro.extensions.mvd import MVD, discover_mvds
 from repro.model.attributes import count_bits, full_mask
 from repro.model.instance import RelationInstance
 from repro.model.schema import ForeignKey
-from repro.structures.settrie import SetTrie
+from repro.structures.lattice_index import LevelIndex
 
 __all__ = ["FourNFNormalizer", "FourNFStep"]
 
@@ -112,11 +112,9 @@ class FourNFNormalizer:
     def _violating_mvd(self, instance: RelationInstance) -> MVD | None:
         if instance.arity < 3:
             return None  # a non-trivial MVD needs X, Y, Z all non-empty
-        keys = SetTrie()
-        for key in DuccUCC(null_equals_null=self.null_equals_null).discover(
-            instance
-        ):
-            keys.insert(key)
+        keys = LevelIndex(
+            DuccUCC(null_equals_null=self.null_equals_null).discover(instance)
+        )
         candidates = []
         for mvd in discover_mvds(
             instance,

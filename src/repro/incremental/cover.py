@@ -4,7 +4,7 @@ The maintained state per relation is exactly HyFD's / HyUCC's:
 
 * an :class:`~repro.structures.fdtree.FDTree` positive cover of the
   minimal FDs, and
-* a :class:`~repro.structures.settrie.SetTrie` antichain of the
+* a :class:`~repro.structures.lattice_index.LevelIndex` antichain of the
   minimal unique column combinations (keys),
 
 plus, once deletes appear, a **negative-cover multiset**: a counter
@@ -51,8 +51,8 @@ from repro.model.fd import FDSet
 from repro.runtime.governor import checkpoint
 from repro.structures.encoding import EncodedRelation
 from repro.structures.fdtree import FDTree
+from repro.structures.lattice_index import LevelIndex
 from repro.structures.partitions import PLICache
-from repro.structures.settrie import SetTrie
 
 __all__ = ["CoverDelta", "IncrementalCover"]
 
@@ -105,9 +105,7 @@ class IncrementalCover:
         self._tree = FDTree(arity)
         for lhs, rhs in fds.items():
             self._tree.add(lhs, rhs)
-        self._uccs = SetTrie()
-        for mask in uccs:
-            self._uccs.insert(mask)
+        self._uccs = LevelIndex(uccs)
         #: agree-set mask → number of live record pairs with that agree
         #: set; ``None`` until the first delete forces the switch.
         self.pair_counts: Counter[int] | None = None
@@ -271,7 +269,7 @@ class IncrementalCover:
         assert self.pair_counts is not None
         agree_sets = list(self.pair_counts.keys())
         self._tree = build_positive_cover(self.arity, agree_sets)
-        self._uccs = SetTrie()
+        self._uccs = LevelIndex()
         if self.arity:
             self._uccs.insert(0)
             for agree in sorted(

@@ -233,14 +233,29 @@ class RelationInstance:
         return full_mask(self.arity)
 
     def rename(self, name: str) -> "RelationInstance":
-        """Return a shallow copy with a new relation name (same constraints)."""
-        relation = Relation(
+        """Return a shallow copy with a new relation name (same constraints).
+
+        Lazy decoded columns are read-only views and are shared as they
+        are; list columns are copied, so appending to either instance
+        never shows in the other.  The encoding memo travels with the
+        data, so a chunk-ingested input is not re-encoded after renaming.
+        """
+        from repro.structures.encoding import DecodedColumn
+
+        clone = RelationInstance.__new__(RelationInstance)
+        clone.relation = Relation(
             name,
             self.relation.columns,
             primary_key=self.relation.primary_key,
             foreign_keys=list(self.relation.foreign_keys),
         )
-        return RelationInstance(relation, self.columns_data)
+        clone.columns_data = [
+            column if isinstance(column, DecodedColumn) else list(column)
+            for column in self.columns_data
+        ]
+        clone._encodings = dict(self._encodings)
+        clone._data_version = self._data_version
+        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

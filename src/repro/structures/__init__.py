@@ -1,16 +1,14 @@
-"""Core data structures: set-tries, FD trees, stripped partitions, Bloom filters.
+"""Core data structures: FD trees, level indexes, stripped partitions, Bloom filters.
 
 These are the performance-critical substrates the paper relies on:
 
-* :mod:`repro.structures.settrie` — the "prefix tree, aka trie" used by
-  the improved/optimized closure algorithms and the violation detector
-  for subset lookups over attribute sets,
 * :mod:`repro.structures.fdtree` — HyFD's positive cover as a
-  level-indexed bitset lattice (the recursive prefix-tree baseline
-  lives on in :mod:`repro.structures.fdtree_legacy`, selectable via
-  ``REPRO_FDTREE=legacy``),
-* :mod:`repro.structures.lattice_index` — the SetTrie query surface on
-  the same level-indexed layout, backing DFD/DUCC boundary sets and
+  level-indexed bitset lattice,
+* :mod:`repro.structures.lattice_index` — the set store that answers
+  the paper's "prefix tree, aka trie" subset queries over attribute
+  sets on the same level-indexed layout: the per-RHS LHS stores of the
+  improved/optimized closure algorithms, the key store of the
+  violation detector, the UCC antichains, DFD/DUCC boundary sets and
   TANE's survivor check,
 * :mod:`repro.structures.encoding` — columnar dictionary encoding of
   relation values, the shared substrate of the PLI hot path,
@@ -26,7 +24,6 @@ from repro.structures.encoding import EncodedRelation
 from repro.structures.fdtree import FDTree
 from repro.structures.lattice_index import LevelIndex
 from repro.structures.partitions import CacheStats, PLICache, StrippedPartition
-from repro.structures.settrie import SetTrie
 
 __all__ = [
     "BloomFilter",
@@ -35,6 +32,5 @@ __all__ = [
     "FDTree",
     "LevelIndex",
     "PLICache",
-    "SetTrie",
     "StrippedPartition",
 ]

@@ -1,14 +1,20 @@
-"""Level-indexed antichain/set store for lattice-search pruning.
+"""Level-indexed antichain/set store for subset and superset queries.
 
-:class:`LevelIndex` is the :class:`~repro.structures.settrie.SetTrie`
-surface re-implemented on the FD-tree lattice engine's layout: stored
-attribute-set bitmasks are grouped by popcount level, each level being
-a list plus an exact-membership dict.  Subset ("is some stored set ⊆
-mask?") and superset queries become flat mask sweeps over the levels
-at or below / above the query's popcount — no pointer chasing, and the
-level bound prunes exactly like the trie's path pruning.
+:class:`LevelIndex` answers the paper's set-trie queries over attribute
+sets ("does the store hold a subset of this mask?") on the FD-tree
+lattice engine's layout: stored attribute-set bitmasks are grouped by
+popcount level, each level being an insertion-ordered dict.  Subset
+and superset queries become flat mask sweeps over the levels at or
+below / above the query's popcount — no pointer chasing, and the level
+bound prunes exactly like a trie's path pruning.  Iteration
+(:meth:`LevelIndex.iter_all`, :meth:`LevelIndex.iter_subsets_of`) is in
+the trie's sorted-path order.
 
-It backs the boundary sets of the generic lattice search
+The closure algorithms keep one store of FD LHSs per RHS attribute
+(Algorithm 2 line 9, Algorithm 3 line 7), and the violation detector
+keeps the derived keys in one (Algorithm 4 line 8); the UCC
+discoverers, incremental cover maintenance and the 4NF checker keep
+their antichains here too.  It also backs the boundary sets of the generic lattice search
 (:mod:`repro.discovery.lattice` — DFD's and DUCC's ``min_sat`` /
 ``max_unsat``) and TANE's prefix-join survivor check, both of which
 also consume the batch entry points (:meth:`contains_batch`,
@@ -18,8 +24,7 @@ candidates are pairwise distinct, so earlier insertions in the round
 can never be membership hits for later candidates.
 
 Unlike the FD-tree this store carries no RHS payload and its sets
-number in the hundreds, so it stays pure Python — the win over the
-trie is the flat sweep, not vectorization.
+number in the hundreds, so it stays pure Python.
 """
 
 from __future__ import annotations
@@ -145,7 +150,7 @@ class LevelIndex:
         return False
 
     def iter_all(self) -> Iterator[int]:
-        """Yield all stored sets in sorted-path order (the SetTrie order)."""
+        """Yield all stored sets in sorted-path order."""
         entries = [stored for level in self._levels for stored in level]
         entries.sort(key=bits_of)
         yield from entries

@@ -9,7 +9,7 @@ from repro.extensions.mvd import discover_mvds
 from repro.discovery.ucc import NaiveUCC
 from repro.model.instance import RelationInstance
 from repro.model.schema import Relation
-from repro.structures.settrie import SetTrie
+from repro.structures.lattice_index import LevelIndex
 
 
 def course_instance():
@@ -32,9 +32,7 @@ def course_instance():
 
 def assert_4nf(instance, max_lhs=2):
     """No non-FD MVD with a non-superkey LHS may remain."""
-    keys = SetTrie()
-    for key in NaiveUCC().discover(instance):
-        keys.insert(key)
+    keys = LevelIndex(NaiveUCC().discover(instance))
     for mvd in discover_mvds(
         instance, max_lhs_size=min(max_lhs, max(0, instance.arity - 2))
     ):

@@ -109,3 +109,15 @@ class TestStatistics:
         assert list(renamed.iter_rows()) == list(instance.iter_rows())
         renamed.relation.primary_key = ("a",)
         assert instance.relation.primary_key is None
+
+    def test_rename_does_not_alias_list_columns(self):
+        instance = make([(1, 2, 3)])
+        encoding = instance.encoded()
+        renamed = instance.rename("other")
+        assert renamed.encoded() is encoding  # the memo travels along
+        for column in instance.columns_data:
+            column.append(9)
+        assert list(renamed.iter_rows()) == [(1, 2, 3)]
+        assert renamed.encoded() is encoding
+        renamed.columns_data[0].append(7)
+        assert instance.column("a") == [1, 9]

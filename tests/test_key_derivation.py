@@ -9,7 +9,7 @@ from repro.datagen.random_tables import random_instance
 from repro.discovery.bruteforce import BruteForceFD
 from repro.discovery.ucc import NaiveUCC
 from repro.model.fd import FD, FDSet
-from repro.structures.settrie import SetTrie
+from repro.structures.lattice_index import LevelIndex
 from tests.helpers import fd_holds
 
 
@@ -77,8 +77,7 @@ class TestMissingKeysAreFine:
         assert name_label not in keys  # derivation misses it (expected!)
         # ... but BCNF checking never needs it (Lemma 2): no violating
         # FD has a LHS containing {name, label}.
-        trie = SetTrie()
-        trie.insert(name_label)
+        index = LevelIndex([name_label])
         for lhs, _ in extended.items():
-            if trie.contains_subset_of(lhs):
+            if index.contains_subset_of(lhs):
                 assert lhs | extended.rhs_of(lhs) == university.full_mask()

@@ -1,9 +1,9 @@
-"""Engine/backend metamorphic tests: the pipeline is representation-blind.
+"""Backend metamorphic tests: the pipeline is representation-blind.
 
-The FD-tree engine (``level`` vs ``legacy``) and the kernel backend
-(``python`` vs ``numpy``) are pure representation choices; discovered
+The kernel backend (``python`` vs ``numpy``) is a pure representation
+choice for the FD-tree lattice and the partition kernels; discovered
 covers, keys, and the final decomposed schema must be byte-identical
-across the whole grid.  This is the end-to-end counterpart of the
+under both.  This is the end-to-end counterpart of the
 per-operation differential suite in ``test_fdtree_differential.py``.
 """
 
@@ -11,45 +11,36 @@ import pytest
 
 from repro import kernels
 from repro.datagen.random_tables import random_instance
-from repro.structures import fdtree
 from repro.verification.planted import plant_instance
 
 NUMPY = kernels.numpy_available()
 
-GRID = [
-    ("level", "python"),
-    ("legacy", "python"),
-    ("level", "numpy"),
-    ("legacy", "numpy"),
-]
+BACKENDS = ["python", "numpy"]
 
 
-def grid():
-    return [g for g in GRID if g[1] != "numpy" or NUMPY]
+def backends():
+    return [b for b in BACKENDS if b != "numpy" or NUMPY]
 
 
 @pytest.fixture(autouse=True)
 def _restore():
     yield
-    fdtree.set_engine(None)
     kernels.set_backend(None)
 
 
 def per_config(fn):
-    """Run ``fn`` once per (engine, backend) config; return the map."""
+    """Run ``fn`` once per kernel backend; return the map."""
     results = {}
-    for engine, backend in grid():
-        fdtree.set_engine(engine)
+    for backend in backends():
         kernels.set_backend(backend)
-        results[(engine, backend)] = fn()
+        results[backend] = fn()
     return results
 
 
 def assert_uniform(results):
-    baseline_key = ("level", "python")
-    baseline = results[baseline_key]
-    for config, value in results.items():
-        assert value == baseline, f"{config} diverges from {baseline_key}"
+    baseline = results["python"]
+    for backend, value in results.items():
+        assert value == baseline, f"{backend} diverges from python"
 
 
 INSTANCES = [
@@ -121,15 +112,14 @@ class TestPipelineInvariance:
 
 @pytest.mark.fuzz
 class TestVerifyCampaignInvariance:
-    """The seeded end-to-end verification campaign passes under every
-    grid config (nightly; the per-config campaigns also run as
-    dedicated CI legs via ``repro verify --fdtree``)."""
+    """The seeded end-to-end verification campaign passes under both
+    kernel backends (nightly; the per-backend campaigns also run as
+    dedicated CI legs via ``repro verify --kernel``)."""
 
     @pytest.mark.parametrize(
-        "engine,backend",
-        [pytest.param(e, b, id=f"{e}-{b}") for e, b in GRID],
+        "backend", [pytest.param(b, id=f"level-{b}") for b in BACKENDS]
     )
-    def test_verify_seeds(self, engine, backend):
+    def test_verify_seeds(self, backend):
         if backend == "numpy" and not NUMPY:
             pytest.skip("numpy not installed")
         from repro.verification.runner import main_verify
@@ -137,7 +127,7 @@ class TestVerifyCampaignInvariance:
         rc = main_verify(
             [
                 "--seeds", "6", "--rows", "16", "--quiet",
-                "--kernel", backend, "--fdtree", engine,
+                "--kernel", backend,
             ]
         )
         assert rc == 0

@@ -9,7 +9,7 @@ from repro.core.normalize import normalize
 from repro.core.violations import find_violating_fds
 from repro.datagen.random_tables import random_instance
 from repro.discovery.bruteforce import BruteForceFD
-from repro.structures.settrie import SetTrie
+from repro.structures.lattice_index import LevelIndex
 
 
 class TestViolationSemantics:
@@ -113,7 +113,7 @@ class TestNormalizeIdempotence:
             assert set(inst.columns) == columns_of[name]
 
 
-class TestSetTrieInterleaved:
+class TestLevelIndexInterleaved:
     @given(
         st.lists(
             st.tuples(
@@ -125,19 +125,19 @@ class TestSetTrieInterleaved:
         st.integers(min_value=0, max_value=2**6 - 1),
     )
     def test_subset_queries_after_mixed_operations(self, operations, query):
-        trie = SetTrie()
+        index = LevelIndex()
         reference: set[int] = set()
         for op, mask in operations:
             if op == "insert":
-                trie.insert(mask)
+                index.insert(mask)
                 reference.add(mask)
             else:
-                trie.remove(mask)
+                index.remove(mask)
                 reference.discard(mask)
         expected = any(mask & ~query == 0 for mask in reference)
-        assert trie.contains_subset_of(query) == expected
+        assert index.contains_subset_of(query) == expected
         expected_sup = any(query & ~mask == 0 for mask in reference)
-        assert trie.contains_superset_of(query) == expected_sup
+        assert index.contains_superset_of(query) == expected_sup
 
 
 class TestCsvUnicode:

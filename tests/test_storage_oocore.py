@@ -358,6 +358,46 @@ class TestPipelineByteIdentity:
         )
         assert ddl_mem.read_bytes() == ddl_spill.read_bytes()
 
+    def test_renamed_spilled_input_is_not_reencoded(
+        self, tmp_path, monkeypatch
+    ):
+        """``Normalizer.run`` renames each input first; the rename must
+        keep the chunk-ingested columns and encoding, so the spill path
+        encodes nothing more than the memory path and emits the same
+        DDL."""
+        from repro.core.normalize import Normalizer
+        from repro.io.ddl import schema_to_ddl
+        from repro.verification.planted import plant_instance
+
+        path = tmp_path / "planted.csv"
+        write_csv(
+            plant_instance(3, num_columns=6, num_rows=400).instance, path
+        )
+        calls = []
+        encode = EncodedRelation.encode.__func__
+
+        def counting_encode(cls, *args, **kwargs):
+            calls.append(args)
+            return encode(cls, *args, **kwargs)
+
+        monkeypatch.setattr(
+            EncodedRelation, "encode", classmethod(counting_encode)
+        )
+        ddl, full_encodes = {}, {}
+        for policy in ("memory", "spill"):
+            with storage.policy_override(policy):
+                source = read_csv(path)
+                calls.clear()
+                result = Normalizer().run([source])
+                ddl[policy] = schema_to_ddl(result.schema, result.instances)
+            # Decomposed relations are fresh projections and are encoded
+            # on both paths; only encodes of the whole input differ.
+            full_encodes[policy] = sum(
+                len(columns) == source.arity for columns, *_ in calls
+            )
+        assert full_encodes == {"memory": 1, "spill": 0}
+        assert ddl["spill"] == ddl["memory"]
+
     def test_ddl_identical_with_workers_against_spilled_columns(
         self, university_csv, tmp_path, monkeypatch, capsys
     ):
